@@ -171,10 +171,7 @@ class Market:
         logit demand) is the most expensive shared aggregate.
         """
         if "max_profit" not in self._memo:
-            prices = self.demand_model.optimal_prices(self.valuations, self.costs)
-            self._memo["max_profit"] = self._scale * self.demand_model.profit(
-                self.valuations, self.costs, prices
-            )
+            self._memo["max_profit"] = self.profit_at(self.optimal_flow_prices())
         return self._memo["max_profit"]
 
     def optimal_flow_prices(self) -> np.ndarray:
@@ -230,14 +227,12 @@ class Market:
             )
         return self._memo["bundling_inputs"]
 
-    def tiered_outcome(
-        self, strategy: BundlingStrategy, n_bundles: int
-    ) -> TieredOutcome:
-        """Run one counterfactual: bundle, price, and score."""
-        if n_bundles < 1:
-            raise ModelParameterError(f"n_bundles must be >= 1, got {n_bundles}")
-        bundles = strategy.bundle(self.bundling_inputs(), n_bundles)
-        prices = self.demand_model.bundle_prices(self.valuations, self.costs, bundles)
+    def score(
+        self, bundles: "list[np.ndarray]", prices: np.ndarray
+    ) -> "tuple[float, float, list[TierSummary]]":
+        """Profit, consumer surplus and price-sorted tier summaries of a
+        priced partition — the scoring every counterfactual and every
+        mechanism design shares."""
         profit = self.profit_at(prices)
         surplus = self._scale * self.demand_model.consumer_surplus(
             self.valuations, prices
@@ -255,6 +250,17 @@ class Market:
             ),
             key=lambda t: t.price,
         )
+        return profit, surplus, tiers
+
+    def tiered_outcome(
+        self, strategy: BundlingStrategy, n_bundles: int
+    ) -> TieredOutcome:
+        """Run one counterfactual: bundle, price, and score."""
+        if n_bundles < 1:
+            raise ModelParameterError(f"n_bundles must be >= 1, got {n_bundles}")
+        bundles = strategy.bundle(self.bundling_inputs(), n_bundles)
+        prices = self.demand_model.bundle_prices(self.valuations, self.costs, bundles)
+        profit, surplus, tiers = self.score(bundles, prices)
         return TieredOutcome(
             strategy=strategy.name,
             n_bundles=n_bundles,

@@ -251,31 +251,14 @@ def score_partition(
 ) -> MechanismDesign:
     """Score an arbitrary partition + price vector into a MechanismDesign.
 
-    The mechanism-layer analogue of :meth:`Market.tiered_outcome`: same
-    profit / capture / surplus / tier-summary computations (so posted
-    mechanisms reproduce legacy numbers bit-for-bit), but over any
-    partition — spot lots, peering splits, hybrid books.
+    The mechanism-layer analogue of :meth:`Market.tiered_outcome`: the
+    same :meth:`Market.score` (so posted mechanisms reproduce legacy
+    numbers bit-for-bit), but over any partition — spot lots, peering
+    splits, hybrid books.
     """
     if not bundles:
         raise MechanismError(f"{mechanism}: empty partition")
-    profit = market.profit_at(prices)
-    scale = market.demand_model.population(market.flows.demands)
-    surplus = scale * market.demand_model.consumer_surplus(
-        market.valuations, prices
-    )
-    quantities = market.quantities(prices)
-    tiers = sorted(
-        (
-            TierSummary(
-                price=float(prices[members[0]]),
-                n_flows=int(members.size),
-                demand_mbps=float(np.sum(quantities[members])),
-                mean_cost=float(np.mean(market.costs[members])),
-            )
-            for members in bundles
-        ),
-        key=lambda t: t.price,
-    )
+    profit, surplus, tiers = market.score(bundles, prices)
     tier_design = None
     if market.flows.dsts is not None:
         tier_design = TierDesign.from_bundles(

@@ -29,7 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.tier_designer import TierDesign
-from repro.core.bundling import BundlingStrategy, ProfitWeightedBundling
+from repro.core.bundling import (
+    BundlingStrategy,
+    ProfitWeightedBundling,
+    stable_argsort,
+)
 from repro.core.market import Market
 from repro.errors import MechanismError
 from repro.mechanisms.base import (
@@ -80,8 +84,10 @@ class Hybrid(Mechanism):
     def spot_flows(self, market: Market) -> np.ndarray:
         """Indices of the flows assigned to spot (sorted ascending).
 
-        Deterministic: a stable argsort of ``c/v`` decides, so equal
-        ratios break by flow index.
+        The ``n_spot`` flows of highest ``c/v``, found by a linear-time
+        partition at the cut.  Deterministic: among ratios equal to the
+        cut value the highest flow indices go to spot, the set a stable
+        argsort of ``c/v`` would put last.
         """
         n = market.n_flows
         if self.elasticity_split <= 0.0:
@@ -91,11 +97,14 @@ class Hybrid(Mechanism):
         n_spot = int(round(self.elasticity_split * n))
         n_spot = min(max(n_spot, 1), n - 1)
         ratio = market.costs / market.valuations
-        order = np.argsort(ratio, kind="stable")
-        return np.sort(order[n - n_spot:])
+        cut = np.partition(ratio, n - n_spot)[n - n_spot]
+        spot = ratio > cut
+        at_cut = np.flatnonzero(ratio == cut)
+        spot[at_cut[at_cut.size - (n_spot - np.count_nonzero(spot)) :]] = True
+        return np.flatnonzero(spot)
 
     def _spot_lots(self, market: Market, spot_idx: np.ndarray) -> "list[np.ndarray]":
-        by_cost = spot_idx[np.argsort(market.costs[spot_idx], kind="stable")]
+        by_cost = spot_idx[stable_argsort(market.costs[spot_idx])]
         k = min(self.spot_windows, by_cost.size)
         return list(np.array_split(by_cost, k))
 

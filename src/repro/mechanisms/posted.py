@@ -1,10 +1,10 @@
 """Posted tiered prices — the paper's mechanism, behind the new seam.
 
-:class:`PostedTiers` wraps :meth:`Market.tiered_outcome` and
-:meth:`TierDesign.from_outcome` *unchanged*: the partition comes from
-one of the six bundling strategies, each tier is priced at its
-profit-maximizing uniform price, and the frozen design is the same
-object the pre-mechanism code produced.  A test asserts designs,
+:class:`PostedTiers` runs the same steps as :meth:`Market.tiered_outcome`
+and :meth:`TierDesign.from_outcome`: the partition comes from one of the
+six bundling strategies, each tier is priced at its profit-maximizing
+uniform price, and the partition is scored once, by
+:func:`~repro.mechanisms.base.score_partition`.  A test asserts designs,
 capture tables, and snapshot digests are byte-identical to the legacy
 direct path — this class adds provenance, not behavior.
 """
@@ -38,20 +38,18 @@ class PostedTiers(Mechanism):
         self.n_tiers = int(n_tiers)
 
     def design_on(self, market: Market, provider_asn: int = 64500) -> MechanismDesign:
-        outcome = market.tiered_outcome(self.strategy, self.n_tiers)
-        design = score_partition(
+        bundles = self.strategy.bundle(market.bundling_inputs(), self.n_tiers)
+        prices = market.demand_model.bundle_prices(
+            market.valuations, market.costs, bundles
+        )
+        return score_partition(
             market,
-            outcome.bundles,
-            outcome.prices,
+            bundles,
+            prices,
             mechanism=self.name,
-            posted_tiers=len(outcome.bundles),
+            posted_tiers=len(bundles),
             provider_asn=provider_asn,
         )
-        # Paranoia, cheaply: the seam must not drift from the legacy
-        # scoring (both go through the same profit/capture code, so this
-        # can only fire if someone forks score_partition).
-        assert design.profit == outcome.profit
-        return design
 
     def describe(self) -> str:
         return f"{self.name}({self.strategy.name}, B={self.n_tiers})"

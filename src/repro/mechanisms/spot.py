@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.bundling import stable_argsort
 from repro.core.market import Market
 from repro.errors import MechanismError
 from repro.mechanisms.base import (
@@ -39,6 +40,15 @@ from repro.mechanisms.base import (
 )
 
 
+def _clearing_valuations(valuations, alpha: float, caller: str) -> np.ndarray:
+    v = np.asarray(valuations, dtype=float)
+    if v.size == 0 or np.any(v <= 0) or not np.all(np.isfinite(v)):
+        raise MechanismError(f"{caller} requires finite positive valuations")
+    if alpha <= 1.0:
+        raise MechanismError(f"clearing requires alpha > 1, got {alpha}")
+    return v
+
+
 def clearing_price(valuations, supply: float, alpha: float) -> float:
     """Uniform price at which CED bids absorb exactly ``supply`` Mbps.
 
@@ -46,13 +56,9 @@ def clearing_price(valuations, supply: float, alpha: float) -> float:
     ``S``.  Valuations are normalized before exponentiation so large
     ``alpha`` does not overflow (same trick as the CED closed forms).
     """
-    v = np.asarray(valuations, dtype=float)
-    if v.size == 0 or np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise MechanismError("clearing_price requires finite positive valuations")
+    v = _clearing_valuations(valuations, alpha, "clearing_price")
     if not np.isfinite(supply) or supply <= 0:
         raise MechanismError(f"supply must be positive, got {supply}")
-    if alpha <= 1.0:
-        raise MechanismError(f"clearing requires alpha > 1, got {alpha}")
     vmax = float(v.max())
     w_sum = float(np.sum((v / vmax) ** alpha))
     return vmax * (w_sum / float(supply)) ** (1.0 / alpha)
@@ -61,13 +67,9 @@ def clearing_price(valuations, supply: float, alpha: float) -> float:
 def cleared_supply(valuations, price: float, alpha: float) -> float:
     """Total CED demand (Mbps) absorbed at a uniform price — the inverse
     of :func:`clearing_price`."""
-    v = np.asarray(valuations, dtype=float)
-    if v.size == 0 or np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise MechanismError("cleared_supply requires finite positive valuations")
+    v = _clearing_valuations(valuations, alpha, "cleared_supply")
     if not np.isfinite(price) or price <= 0:
         raise MechanismError(f"price must be positive, got {price}")
-    if alpha <= 1.0:
-        raise MechanismError(f"clearing requires alpha > 1, got {alpha}")
     return float(np.sum((v / float(price)) ** alpha))
 
 
@@ -91,7 +93,7 @@ class SpotAuction(Mechanism):
 
     def lots(self, costs: np.ndarray) -> "list[np.ndarray]":
         """Cost-ordered contiguous auction lots (index arrays)."""
-        order = np.argsort(np.asarray(costs, dtype=float), kind="stable")
+        order = stable_argsort(np.asarray(costs, dtype=float))
         k = min(self.windows, order.size)
         return list(np.array_split(order, k))
 

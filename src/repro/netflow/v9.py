@@ -279,6 +279,12 @@ class V9Decoder:
         for ftype in required:
             if ftype not in values:
                 raise DataError(f"template lacks required field type {ftype}")
+        for ftype in (IPV4_SRC_ADDR, IPV4_DST_ADDR):
+            if values[ftype] >> 32:
+                raise DataError(
+                    f"field type {ftype} holds {values[ftype]:#x}, wider than "
+                    "a 4-byte IPv4 address"
+                )
         octets = values[IN_BYTES]
         return NetFlowRecord(
             key=FlowKey(

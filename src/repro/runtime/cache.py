@@ -105,9 +105,17 @@ class CacheStore:
         path = self._disk_path(kind, digest) if disk else None
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(pickle.dumps(value))
-            tmp.replace(path)  # atomic: parallel writers race benignly
+            # A temp file per writing process and thread: concurrent writers
+            # of one entry never share one, and the last replace wins whole.
+            tmp = path.with_name(
+                f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+            )
+            try:
+                tmp.write_bytes(pickle.dumps(value))
+                tmp.replace(path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
     def clear(self) -> None:
         with self._lock:

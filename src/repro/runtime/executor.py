@@ -103,7 +103,10 @@ def _recv_exact(sock: "socket.socket", n: int) -> "Optional[bytes]":
 
 
 def recv_frame(sock: "socket.socket") -> "Optional[dict]":
-    """Read one frame; ``None`` means the peer went away (EOF/reset)."""
+    """Read one frame; ``None`` means the peer went away (EOF/reset).
+
+    Raises :class:`DataError` for an oversized frame or one that is not
+    a UTF-8 JSON object."""
     header = _recv_exact(sock, _FRAME_LEN.size)
     if header is None:
         return None
@@ -116,7 +119,15 @@ def recv_frame(sock: "socket.socket") -> "Optional[dict]":
     body = _recv_exact(sock, length)
     if body is None:
         return None
-    return json.loads(body.decode("utf-8"))
+    try:
+        frame = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"incoming frame is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(frame, dict):
+        raise DataError(
+            f"incoming frame is a JSON {type(frame).__name__}, not an object"
+        )
+    return frame
 
 
 def spec_to_wire(spec) -> dict:

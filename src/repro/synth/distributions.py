@@ -105,8 +105,14 @@ def calibrate_positive(
     def transformed(lam: float) -> np.ndarray:
         return np.exp(lam * shifted)
 
+    # Brent's method and the bracket checks probe some lambdas twice; each
+    # probe is an exp and a CV over the whole sample, so remember them.
+    cv_at: "dict[float, float]" = {}
+
     def cv_of(lam: float) -> float:
-        return weighted_cv(transformed(lam), weights)
+        if lam not in cv_at:
+            cv_at[lam] = weighted_cv(transformed(lam), weights)
+        return cv_at[lam]
 
     if cv_target == 0:
         calibrated = np.ones_like(shifted)

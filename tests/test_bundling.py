@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.bundling import (
     BundlingInputs,
@@ -15,6 +17,7 @@ from repro.core.bundling import (
     evaluate_partition,
     iter_partitions,
     paper_strategies,
+    stable_argsort,
     strategy_by_name,
     token_bucket_partition,
 )
@@ -41,6 +44,49 @@ def make_inputs(demands, costs, model=None, classes=None, blended_rate=20.0):
 
 def as_sets(bundles):
     return sorted((frozenset(int(i) for i in b) for b in bundles), key=min)
+
+
+#: Few distinct values, so drawn keys tie heavily; ``0.0``/``-0.0`` and
+#: the infinities compare equal to themselves and must tie too.
+tie_heavy = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, np.inf, -np.inf])
+any_float = st.floats(allow_nan=False)
+
+
+def stable_reference(keys):
+    return np.argsort(keys, kind="stable")
+
+
+class TestStableArgsort:
+    @given(st.lists(tie_heavy, max_size=300))
+    def test_tie_heavy_keys(self, keys):
+        k = np.asarray(keys, dtype=float)
+        assert np.array_equal(stable_argsort(k), stable_reference(k))
+        assert np.array_equal(stable_argsort(-k), stable_reference(-k))
+
+    @given(st.lists(any_float, min_size=1, max_size=300))
+    def test_arbitrary_keys(self, keys):
+        k = np.asarray(keys, dtype=float)
+        assert np.array_equal(stable_argsort(k), stable_reference(k))
+        assert np.array_equal(stable_argsort(-k), stable_reference(-k))
+
+    @given(any_float, st.integers(min_value=1, max_value=300))
+    def test_all_equal_keys(self, value, n):
+        k = np.full(n, value)
+        assert np.array_equal(stable_argsort(k), np.arange(n))
+
+    @given(st.lists(st.integers(-3, 3), max_size=300))
+    def test_integer_keys(self, keys):
+        k = np.asarray(keys, dtype=np.int64)
+        assert np.array_equal(stable_argsort(k), stable_reference(k))
+
+    def test_large_tied_input(self, rng):
+        k = rng.integers(0, 50, size=200_000).astype(float)
+        k[rng.random(k.size) < 0.5] = rng.random()  # one huge run as well
+        assert np.array_equal(stable_argsort(k), stable_reference(k))
+
+    def test_single_and_empty(self):
+        assert stable_argsort(np.array([-0.0])).tolist() == [0]
+        assert stable_argsort(np.array([], dtype=float)).size == 0
 
 
 class TestTokenBucket:

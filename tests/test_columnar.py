@@ -10,7 +10,8 @@ reductions.  These tests pin the refactor down:
   six bundling strategies, and welfare — including region- and
   class-labeled markets;
 * the vectorized token-bucket and contiguous-DP algorithms reproduce
-  their retained per-flow reference implementations exactly;
+  their per-flow reference implementations (``tests/oracles.py``)
+  exactly;
 * ``repro.synth`` emits a 10^6-flow dataset without constructing any
   ``Flow`` object;
 * ``FlowSet.from_flows`` takes the pre-validated fast path (no
@@ -28,8 +29,6 @@ from repro.core.bundling import (
     DEFAULT_MAX_OPTIMAL_FLOWS,
     OptimalBundling,
     _contiguous_dp,
-    _contiguous_dp_reference,
-    _token_bucket_reference,
     paper_strategies,
     token_bucket_partition,
 )
@@ -43,6 +42,7 @@ from repro.core.welfare import welfare_comparison
 from repro.errors import DataError
 from repro.runtime import cache
 from repro.synth.datasets import generate_flow_table
+from tests.oracles import contiguous_dp_reference, token_bucket_reference
 
 ATOL = 1e-9
 
@@ -165,7 +165,7 @@ class TestVectorizedAlgorithmsMatchReferences:
         rng = np.random.default_rng(seed)
         weights = rng.lognormal(mean=0.0, sigma=1.5, size=40)
         fast = token_bucket_partition(weights, n_bundles)
-        slow = _token_bucket_reference(weights, n_bundles)
+        slow = token_bucket_reference(weights, n_bundles)
         assert [sorted(b.tolist()) for b in fast] == [
             sorted(b.tolist()) for b in slow
         ]
@@ -190,7 +190,7 @@ class TestVectorizedAlgorithmsMatchReferences:
             v = model.fit_valuations(demands, 20.0)
             objective = model.bundle_objective(v, c)
             assert _contiguous_dp(objective, n, max_bundles) == (
-                _contiguous_dp_reference(objective, n, max_bundles)
+                contiguous_dp_reference(objective, n, max_bundles)
             ), model.name
 
 

@@ -15,6 +15,7 @@ import json
 import os
 import signal
 import socket as socket_module
+import struct
 import subprocess
 import sys
 import threading
@@ -98,6 +99,19 @@ class TestWire:
         try:
             assert recv_frame(b) is None
         finally:
+            b.close()
+
+    @pytest.mark.parametrize(
+        "body", [b"\xff\xfe", b'{"op": ', b"[1, 2]", b'"pull"', b"null"]
+    )
+    def test_undecodable_or_non_object_frame_is_data_error(self, body):
+        a, b = socket_module.socketpair()
+        try:
+            a.sendall(struct.pack(">I", len(body)) + body)
+            with pytest.raises(DataError, match="incoming frame"):
+                recv_frame(b)
+        finally:
+            a.close()
             b.close()
 
     def test_oversize_send_refused(self):

@@ -13,8 +13,12 @@ The load-bearing guarantees:
   spot side re-clears (and republishes) every priced window.
 """
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import MECHANISMS, MechanismConfig
 from repro.core.bundling import paper_strategies
@@ -47,6 +51,7 @@ from repro.stream import (
 )
 from repro.synth.datasets import load_dataset
 from repro.synth.trace import generate_network_trace
+from tests.oracles import hybrid_spot_flows_reference
 
 P0 = 20.0
 
@@ -293,6 +298,22 @@ class TestHybrid:
         assert ratio[spot_idx].min() >= np.partition(
             ratio, market.n_flows - spot_idx.size - 1
         )[market.n_flows - spot_idx.size - 1] - 1e-12
+
+    @given(
+        st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=2, max_size=200),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_spot_flows_match_the_stable_sort_on_ties(self, costs, split):
+        costs = np.asarray(costs)
+        valuations = np.ones_like(costs)
+        stub = types.SimpleNamespace(
+            n_flows=costs.size, costs=costs, valuations=valuations
+        )
+        got = Hybrid(elasticity_split=split).spot_flows(stub)
+        n_spot = min(max(int(round(split * costs.size)), 1), costs.size - 1)
+        want = hybrid_spot_flows_reference(costs / valuations, n_spot)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_validation(self):
         with pytest.raises(MechanismError):

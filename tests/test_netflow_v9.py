@@ -149,6 +149,24 @@ class TestDecoderValidation:
         with pytest.raises(DataError, match="length"):
             decoder.decode(bytes(packet))
 
+    def test_address_field_wider_than_four_bytes(self, decoder):
+        # A template may declare any field width; a 5-byte source address
+        # with a nonzero high byte cannot be an IPv4 address.
+        template = struct.pack(">HH", 300, 3) + struct.pack(
+            ">HHHHHH", 8, 5, 12, 4, 1, 4
+        )
+        data = bytes([1, 10, 1, 0, 1]) + bytes([198, 51, 100, 7])
+        data += struct.pack(">I", 1000) + b"\x00" * 3
+        packet = (
+            struct.pack(">HHIIII", 9, 2, 0, 0, 0, 7)
+            + struct.pack(">HH", TEMPLATE_FLOWSET_ID, 4 + len(template))
+            + template
+            + struct.pack(">HH", 300, 4 + len(data))
+            + data
+        )
+        with pytest.raises(DataError, match="wider than a 4-byte IPv4"):
+            decoder.decode(packet)
+
     def test_needs_source_mapping(self):
         with pytest.raises(DataError):
             V9Decoder({})

@@ -13,6 +13,11 @@ The load-bearing guarantees:
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -83,6 +88,70 @@ class TestCacheStore:
         path = tmp_path / "result" / "abc.pkl"
         path.write_bytes(b"not a pickle")
         assert CacheStore(tmp_path).get("result", "abc") == (False, None)
+
+    def test_concurrent_thread_writers_of_one_key(self, tmp_path):
+        values = [list(range(i, i + 20_000)) for i in range(8)]
+        errors = []
+
+        def write(value):
+            store = CacheStore(tmp_path)
+            try:
+                for _ in range(25):
+                    store.put("result", "same", value)
+            except Exception as exc:  # collected for the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(v,)) for v in values]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        hit, value = CacheStore(tmp_path).get("result", "same")
+        assert hit and value in values
+        assert sorted(p.name for p in (tmp_path / "result").iterdir()) == [
+            "same.pkl"
+        ]
+
+    def test_concurrent_process_writers_of_one_key(self, tmp_path):
+        src = pathlib.Path(repro.runtime.__file__).parents[2]
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])
+            ),
+        )
+        writer = (
+            "import sys\n"
+            "from repro.runtime.cache import CacheStore\n"
+            "store = CacheStore(sys.argv[1])\n"
+            "start = int(sys.argv[2])\n"
+            "for _ in range(200):\n"
+            "    store.put('result', 'same', list(range(start, start + 20000)))\n"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", writer, str(tmp_path), str(start)],
+                env=env,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for start in (0, 1)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        hit, value = CacheStore(tmp_path).get("result", "same")
+        assert hit and value[0] in (0, 1) and len(value) == 20_000
+        assert sorted(p.name for p in (tmp_path / "result").iterdir()) == [
+            "same.pkl"
+        ]
 
 
 def _jobs(jobs=None):

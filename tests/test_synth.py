@@ -1,5 +1,7 @@
 """Tests for the synthetic-data substrate (datasets and trace pipeline)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,16 @@ from repro.synth.datasets import (
     load_dataset,
     table1_row,
 )
+from repro.synth import distributions
 from repro.synth.distributions import (
+    calibrate_positive,
     lognormal_sigma_for_cv,
     sample_lognormal,
     weighted_cv,
     weighted_mean,
 )
 from repro.synth.trace import generate_network_trace
+from tests import oracles
 
 
 class TestDistributions:
@@ -50,6 +55,33 @@ class TestDistributions:
         assert weighted_mean(values, weights) == pytest.approx(1.5)
         assert weighted_mean(values) == pytest.approx(2.0)
         assert weighted_cv(values) == pytest.approx(0.5)
+
+
+class TestCalibrationSolve:
+    @staticmethod
+    def _counting_cv(calls, real=weighted_cv):
+        def counting(values, weights=None):
+            calls.append(hashlib.sha256(values.tobytes()).hexdigest())
+            return real(values, weights)
+
+        return counting
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_cv_per_lambda_and_same_bytes(self, seed, weighted, monkeypatch):
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(0.0, 1.0, 5_000)
+        w = rng.lognormal(0.0, 1.0, 5_000) if weighted else None
+        solved, reference = [], []
+        monkeypatch.setattr(oracles, "weighted_cv", self._counting_cv(reference))
+        want = oracles.calibrate_positive_reference(x, 3.0, 1.7, weights=w)
+        monkeypatch.setattr(distributions, "weighted_cv", self._counting_cv(solved))
+        got = calibrate_positive(x, 3.0, 1.7, weights=w)
+        assert got.tobytes() == want.tobytes()
+        # Every transform the solve evaluates is a distinct lambda's, and
+        # the unmemoized solve repeats some of them.
+        assert len(solved) == len(set(solved)) == len(set(reference))
+        assert len(reference) > len(solved)
 
 
 class TestDatasetSpecs:
